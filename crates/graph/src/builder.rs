@@ -3,26 +3,70 @@
 //! Generators and samplers often produce the same vertex pair more than once; the
 //! builder accumulates weights per pair (exact electrically) and produces a simple
 //! [`Graph`] at the end.
+//!
+//! Each pair's weights are summed in insertion order and the output is sorted by
+//! endpoint pair, so the result does not depend on the hash map's layout. The map
+//! keys on the pair packed into one `u64` with a fixed multiplicative hash, which
+//! is cheap but gives no protection against vertex pairs chosen to collide. Its
+//! callers accumulate generated edges (generators, `Graph::coalesce`, the solver
+//! chain's two-hop levels); the streaming engine merges ingested edges by sorting
+//! (`ops::coalesce_in_place`), which is the path for adversarial input.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::{GraphError, Result};
-use crate::graph::{Edge, Graph, NodeId};
+use crate::graph::{Graph, NodeId};
+
+/// Hasher for packed pair keys: one folded 64×64→128-bit multiply, whose high and
+/// low halves mix every key bit into the bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = (x ^ 0x243F_6A88_85A3_08D3) as u128 * 0x9E37_79B9_7F4A_7C15u128;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+type PairMap = HashMap<u64, f64, BuildHasherDefault<PairHasher>>;
+
+/// The canonical `(min, max)` pair packed as `min << 32 | max`; packed keys sort
+/// in the same order as the pairs.
+fn pack(u: NodeId, v: NodeId) -> u64 {
+    let (a, b) = if u <= v { (u, v) } else { (v, u) };
+    ((a as u64) << 32) | b as u64
+}
 
 /// Accumulates edges keyed by their canonical `(min, max)` endpoint pair, summing the
 /// weights of duplicates.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     n: usize,
-    weights: HashMap<(NodeId, NodeId), f64>,
+    weights: PairMap,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph on `n` vertices.
     pub fn new(n: usize) -> Self {
+        assert!(
+            n as u64 <= 1 << 32,
+            "GraphBuilder packs vertex ids into 32 bits"
+        );
         GraphBuilder {
             n,
-            weights: HashMap::new(),
+            weights: PairMap::default(),
         }
     }
 
@@ -56,9 +100,13 @@ impl GraphBuilder {
         if !(w.is_finite() && w > 0.0) {
             return Err(GraphError::NonPositiveWeight { weight: w });
         }
-        let key = if u <= v { (u, v) } else { (v, u) };
-        *self.weights.entry(key).or_insert(0.0) += w;
+        self.accumulate(u, v, w);
         Ok(self)
+    }
+
+    /// [`add`](Self::add) without validation, for edges taken from a [`Graph`].
+    pub(crate) fn accumulate(&mut self, u: NodeId, v: NodeId, w: f64) {
+        *self.weights.entry(pack(u, v)).or_insert(0.0) += w;
     }
 
     /// Adds every edge of `g`, accumulating duplicate pairs.
@@ -77,22 +125,17 @@ impl GraphBuilder {
 
     /// Returns `true` if the pair `(u, v)` has been added.
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        let key = if u <= v { (u, v) } else { (v, u) };
-        self.weights.contains_key(&key)
+        self.weights.contains_key(&pack(u, v))
     }
 
     /// Finalizes the builder into a simple graph with deterministically ordered edges.
     pub fn build(self) -> Graph {
-        let mut edges: Vec<Edge> = self
-            .weights
-            .into_iter()
-            .map(|((u, v), w)| Edge { u, v, w })
-            .collect();
-        edges.sort_by_key(|e| (e.u, e.v));
+        let mut pairs: Vec<(u64, f64)> = self.weights.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(key, _)| key);
         // Edges were validated on insertion; reconstruct without re-validating.
-        let mut g = Graph::with_capacity(self.n, edges.len());
-        for e in edges {
-            g.push_edge_unchecked(e.u, e.v, e.w);
+        let mut g = Graph::with_capacity(self.n, pairs.len());
+        for (key, w) in pairs {
+            g.push_edge_unchecked((key >> 32) as NodeId, key as u32 as NodeId, w);
         }
         g
     }

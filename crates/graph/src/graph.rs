@@ -5,6 +5,7 @@
 //! paper) and are treated as distinct resistors connected in parallel. All weights must
 //! be strictly positive and finite.
 
+use crate::builder::GraphBuilder;
 use crate::csr::Adjacency;
 use crate::error::{GraphError, Result};
 
@@ -303,17 +304,11 @@ impl Graph {
     /// Electrically this is exact: parallel resistors of conductances `w₁, w₂` behave as
     /// a single resistor of conductance `w₁ + w₂`, and the Laplacians are identical.
     pub fn coalesce(&self) -> Graph {
-        use std::collections::HashMap;
-        let mut map: HashMap<(NodeId, NodeId), f64> = HashMap::with_capacity(self.m());
+        let mut builder = GraphBuilder::new(self.n);
         for e in &self.edges {
-            *map.entry(e.key()).or_insert(0.0) += e.w;
+            builder.accumulate(e.u, e.v, e.w);
         }
-        let mut edges: Vec<Edge> = map
-            .into_iter()
-            .map(|((u, v), w)| Edge { u, v, w })
-            .collect();
-        edges.sort_by_key(|e| (e.u, e.v));
-        Graph { n: self.n, edges }
+        builder.build()
     }
 
     /// True if the two graphs have the same vertex count, edge count and identical

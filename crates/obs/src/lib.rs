@@ -261,6 +261,24 @@ impl Span {
             active: false,
         }
     }
+
+    /// Closes the span now, attaching `fields` to its end event: for results known
+    /// only once the spanned work is done (the sizes a chain level build produced).
+    /// An inactive guard emits nothing, as on drop.
+    pub fn end_with(mut self, fields: &[(&'static str, FieldValue)]) {
+        if self.active {
+            self.active = false;
+            if let Some(s) = sink() {
+                s.record(Event {
+                    name: self.name,
+                    kind: EventKind::SpanEnd,
+                    fields: fields.to_vec(),
+                    ts_us: now_us(),
+                    tid: thread_id(),
+                });
+            }
+        }
+    }
 }
 
 impl Drop for Span {

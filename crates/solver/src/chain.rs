@@ -16,15 +16,18 @@
 //! framework. The recursion stops when the level is strongly diagonally dominant, where
 //! a handful of Jacobi sweeps is an adequate (and linear, hence PCG-safe) base solver.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 
 use sgs_core::{parallel_sparsify, BundleSizing, SparsifyConfig};
 use sgs_graph::{Graph, GraphBuilder};
 use sgs_linalg::cg::Preconditioner;
+use sgs_obs::FieldValue;
 use sgs_stream::{StreamOutput, StreamStats};
 
 use crate::sdd::GroundedLaplacian;
@@ -68,12 +71,26 @@ impl Default for ChainConfig {
     }
 }
 
-/// One level of the chain: the operator `M_i = L(graph) + diag(excess)`, stored with its
-/// full diagonal for fast application.
+/// Half-edges per executor chunk of a parallel row gather; levels with fewer
+/// half-edges than this apply on the calling thread.
+const GATHER_GRAIN: usize = 8192;
+
+/// One level of the chain: the operator `M_i = L(G_i) + diag(excess)`, stored as a
+/// CSR adjacency of `G_i` with its full diagonal for fast application.
+///
+/// Row `u` lists the half-edges of `u` in the edge order of the graph the level was
+/// built from — the layout of `sgs_graph::Adjacency::build`, with `u32` neighbours
+/// and `f64` weights inline (24 bytes per edge, as in a `Graph`'s edge list).
+/// Accumulating a row left to right therefore performs, for every vertex, exactly
+/// the floating-point additions an edge-order scatter over that graph would.
 #[derive(Debug, Clone)]
 pub struct ChainLevel {
-    /// The level's graph (off-diagonal part).
-    pub graph: Graph,
+    /// Row `u`'s half-edges are `offsets[u]..offsets[u + 1]`.
+    offsets: Vec<usize>,
+    /// Neighbour of each half-edge.
+    neighbors: Vec<u32>,
+    /// Weight of each half-edge.
+    weights: Vec<f64>,
     /// Diagonal excess of the level.
     pub excess: Vec<f64>,
     /// Cached full diagonal `degrees + excess`.
@@ -81,58 +98,99 @@ pub struct ChainLevel {
 }
 
 impl ChainLevel {
-    fn new(graph: Graph, excess: Vec<f64>) -> Self {
-        let diagonal: Vec<f64> = graph
-            .weighted_degrees()
+    fn new(graph: &Graph, excess: Vec<f64>) -> Self {
+        let n = graph.n();
+        assert!(
+            n as u64 <= u32::MAX as u64,
+            "chain levels store u32 vertex ids"
+        );
+        let mut offsets = vec![0usize; n + 1];
+        for e in graph.edges() {
+            offsets[e.u + 1] += 1;
+            offsets[e.v + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0u32; 2 * graph.m()];
+        let mut weights = vec![0.0; 2 * graph.m()];
+        for e in graph.edges() {
+            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                neighbors[cursor[a]] = b as u32;
+                weights[cursor[a]] = e.w;
+                cursor[a] += 1;
+            }
+        }
+        let mut level = ChainLevel {
+            offsets,
+            neighbors,
+            weights,
+            excess,
+            diagonal: Vec::new(),
+        };
+        level.diagonal = level
+            .degrees()
             .iter()
-            .zip(&excess)
+            .zip(&level.excess)
             .map(|(d, e)| d + e)
             .collect();
-        ChainLevel {
-            graph,
-            excess,
-            diagonal,
-        }
+        level
     }
 
-    /// Adjacency application `y = A x` (off-diagonal only, positive weights).
-    fn adjacency_apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.graph.n()];
-        self.adjacency_apply_in(x, &mut y);
-        y
+    /// Number of vertices.
+    pub fn n(&self) -> usize {
+        self.offsets.len() - 1
     }
 
-    /// Allocation-free [`adjacency_apply`](Self::adjacency_apply): overwrites `y` with
-    /// `A x`, accumulating in the same edge order (bit-identical results).
+    /// Number of edges (half the stored half-edges).
+    pub fn m(&self) -> usize {
+        self.neighbors.len() / 2
+    }
+
+    /// Row `u` of the adjacency: its neighbours and the matching weights, in edge
+    /// order.
+    pub fn row(&self, u: usize) -> (&[u32], &[f64]) {
+        let r = self.offsets[u]..self.offsets[u + 1];
+        (&self.neighbors[r.clone()], &self.weights[r])
+    }
+
+    /// Weighted degree of every vertex (the adjacency's row sums).
+    pub fn degrees(&self) -> Vec<f64> {
+        (0..self.n())
+            .map(|u| {
+                let mut d = 0.0;
+                for w in self.row(u).1 {
+                    d += w;
+                }
+                d
+            })
+            .collect()
+    }
+
+    /// Adjacency application: overwrites `y` with `A x` (off-diagonal only, positive
+    /// weights). Rows are gathered in parallel, each summed left to right from 0, so
+    /// every `y[u]` is bit-identical at any pool width.
     pub fn adjacency_apply_in(&self, x: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        for e in self.graph.edges() {
-            y[e.u] += e.w * x[e.v];
-            y[e.v] += e.w * x[e.u];
-        }
-    }
-
-    /// Full operator application `y = (D − A) x = L x + excess .* x`.
-    pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.graph.n()];
-        self.apply_in(x, &mut y);
-        y
-    }
-
-    /// Allocation-free [`apply`](Self::apply) writing into a caller-provided buffer.
-    pub fn apply_in(&self, x: &[f64], y: &mut [f64]) {
-        self.graph.laplacian_apply_into(x, y);
-        for ((yi, xi), ei) in y.iter_mut().zip(x).zip(&self.excess) {
-            *yi += ei * xi;
-        }
+        let rows_per_chunk = (GATHER_GRAIN * self.n() / self.neighbors.len().max(1)).max(1);
+        y.par_iter_mut()
+            .enumerate()
+            .with_min_len(rows_per_chunk)
+            .for_each(|(u, yu)| {
+                let (nbrs, weights) = self.row(u);
+                let mut acc = 0.0;
+                for (&v, w) in nbrs.iter().zip(weights) {
+                    acc += w * x[v as usize];
+                }
+                *yu = acc;
+            });
     }
 
     /// Ratio `min_v excess_v / degree_v` (∞ when the graph has no edges); the dominance
     /// measure that terminates the chain.
     fn dominance(&self) -> f64 {
-        let deg = self.graph.weighted_degrees();
         let mut worst = f64::INFINITY;
-        for (d, e) in deg.iter().zip(&self.excess) {
+        for (d, e) in self.degrees().iter().zip(&self.excess) {
             if *d > 0.0 {
                 worst = worst.min(e / d);
             }
@@ -153,12 +211,12 @@ impl Chain {
     pub fn build(system: &GroundedLaplacian, config: &ChainConfig) -> Self {
         let build_span = sgs_obs::span!("chain.build", n = system.n());
         let mut levels = Vec::new();
-        let mut current = ChainLevel::new(system.graph().clone(), system.excess().to_vec());
+        let mut current = ChainLevel::new(system.graph(), system.excess().to_vec());
         let n = system.n();
         let target_edges = (2.0 * n as f64 * (n.max(2) as f64).log2()).ceil() as usize;
         for level_idx in 0..config.max_levels {
             let done = current.dominance() >= config.dominance_stop
-                || current.graph.m() == 0
+                || current.m() == 0
                 || level_idx + 1 == config.max_levels;
             if done {
                 levels.push(current);
@@ -167,14 +225,6 @@ impl Chain {
             let next = build_next_level(&current, config, level_idx, target_edges);
             levels.push(current);
             current = next;
-        }
-        for (idx, level) in levels.iter().enumerate() {
-            sgs_obs::point!(
-                "chain.level",
-                level = idx,
-                n = level.graph.n(),
-                m = level.graph.m(),
-            );
         }
         drop(build_span);
         Chain {
@@ -196,22 +246,24 @@ impl Chain {
     /// Total number of edges stored across all levels (the chain-size quantity that
     /// Theorem 6 bounds).
     pub fn total_edges(&self) -> usize {
-        self.levels.iter().map(|l| l.graph.m()).sum()
+        self.levels.iter().map(ChainLevel::m).sum()
     }
 
     /// Applies the approximate inverse of the top-level operator to `b`.
     pub fn apply_inverse(&self, b: &[f64]) -> Vec<f64> {
-        self.apply_inverse_from(0, b)
+        let mut out = vec![0.0; b.len()];
+        self.apply_inverse_in(b, &mut out, &mut ChainScratch::new());
+        out
     }
 
     /// Allocation-free [`apply_inverse`](Self::apply_inverse): writes the result into
     /// `out`, reusing the buffers of `scratch` (grown on first use, then stable).
     ///
-    /// Performs the same floating-point operations in the same order as
-    /// `apply_inverse`, so results are **bit-identical** — the CG outer loop can switch
-    /// between the two without perturbing a single iterate.
+    /// Every level's adjacency application is a parallel row gather whose result does
+    /// not depend on the pool width, so the output is bit-identical at any width and
+    /// whatever the scratch held before.
     pub fn apply_inverse_in(&self, b: &[f64], out: &mut [f64], scratch: &mut ChainScratch) {
-        let n = self.levels[0].graph.n();
+        let n = self.levels[0].n();
         assert_eq!(b.len(), n, "right-hand side has wrong dimension");
         assert_eq!(out.len(), n, "output buffer has wrong dimension");
         scratch.prepare(self.levels.len(), n);
@@ -224,7 +276,7 @@ impl Chain {
             .split_first_mut()
             .expect("scratch shallower than chain");
         if level + 1 == self.levels.len() {
-            jacobi_sweeps_in(lvl, b, self.config.base_jacobi_sweeps, out, &mut mine.tmp);
+            jacobi_sweeps(lvl, b, self.config.base_jacobi_sweeps, out, &mut mine.tmp);
             return;
         }
         // x = 1/2 [ D^{-1} b + (I + D^{-1} A) M̃^{-1} (I + A D^{-1}) b ], with the
@@ -275,39 +327,11 @@ impl Chain {
             stream_stats: stats,
         }
     }
-
-    fn apply_inverse_from(&self, level: usize, b: &[f64]) -> Vec<f64> {
-        let lvl = &self.levels[level];
-        if level + 1 == self.levels.len() {
-            return jacobi_sweeps(lvl, b, self.config.base_jacobi_sweeps);
-        }
-        // x = 1/2 [ D^{-1} b + (I + D^{-1} A) M̃^{-1} (I + A D^{-1}) b ]
-        let d_inv_b: Vec<f64> = b
-            .iter()
-            .zip(&lvl.diagonal)
-            .map(|(bi, di)| bi / di)
-            .collect();
-        let a_dinv_b = lvl.adjacency_apply(&d_inv_b);
-        let y: Vec<f64> = b.iter().zip(&a_dinv_b).map(|(bi, ai)| bi + ai).collect();
-        let z = self.apply_inverse_from(level + 1, &y);
-        let a_z = lvl.adjacency_apply(&z);
-        let x2: Vec<f64> = z
-            .iter()
-            .zip(a_z.iter().zip(&lvl.diagonal))
-            .map(|(zi, (azi, di))| zi + azi / di)
-            .collect();
-        d_inv_b
-            .iter()
-            .zip(&x2)
-            .map(|(a, b)| 0.5 * (a + b))
-            .collect()
-    }
 }
 
 impl Preconditioner for Chain {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let out = self.apply_inverse(r);
-        z.copy_from_slice(&out);
+        self.apply_inverse_in(r, z, &mut ChainScratch::new());
     }
 }
 
@@ -387,28 +411,10 @@ pub struct StreamChain {
     pub stream_stats: StreamStats,
 }
 
-/// A fixed number of Jacobi sweeps for `M x = b`; a linear operator in `b`, which makes
-/// it safe to use inside a (non-flexible) PCG iteration.
-fn jacobi_sweeps(level: &ChainLevel, b: &[f64], sweeps: usize) -> Vec<f64> {
-    let n = b.len();
-    let mut x: Vec<f64> = b
-        .iter()
-        .zip(&level.diagonal)
-        .map(|(bi, di)| bi / di)
-        .collect();
-    for _ in 0..sweeps {
-        // x ← D⁻¹ (b + A x)
-        let ax = level.adjacency_apply(&x);
-        for i in 0..n {
-            x[i] = (b[i] + ax[i]) / level.diagonal[i];
-        }
-    }
-    x
-}
-
-/// Allocation-free [`jacobi_sweeps`] writing the iterate into `x` and using `ax` as the
-/// adjacency scratch; identical operation order, bit-identical results.
-fn jacobi_sweeps_in(level: &ChainLevel, b: &[f64], sweeps: usize, x: &mut [f64], ax: &mut [f64]) {
+/// A fixed number of Jacobi sweeps for `M x = b`, writing the iterate into `x` and
+/// using `ax` as the adjacency scratch; a linear operator in `b`, which makes it safe
+/// to use inside a (non-flexible) PCG iteration.
+fn jacobi_sweeps(level: &ChainLevel, b: &[f64], sweeps: usize, x: &mut [f64], ax: &mut [f64]) {
     for ((xi, bi), di) in x.iter_mut().zip(b).zip(&level.diagonal) {
         *xi = bi / di;
     }
@@ -430,81 +436,22 @@ fn build_next_level(
     level_idx: usize,
     target_edges: usize,
 ) -> ChainLevel {
-    let n = level.graph.n();
-    let adj = level.graph.adjacency();
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(level_idx as u64 * 0xC11A));
-    let mut builder = GraphBuilder::new(n);
-
-    for v in 0..n {
-        let neighbors = adj.neighbors(v);
-        let deg = neighbors.len();
-        if deg < 2 {
-            continue;
-        }
-        let dv = level.diagonal[v];
-        if deg <= config.clique_sample_threshold {
-            // Exact clique.
-            for i in 0..deg {
-                for j in (i + 1)..deg {
-                    let (a, b) = (&neighbors[i], &neighbors[j]);
-                    if a.node == b.node {
-                        continue;
-                    }
-                    let w = a.weight * b.weight / dv;
-                    if w > 0.0 {
-                        let _ = builder.add(a.node, b.node, w);
-                    }
-                }
-            }
-        } else {
-            // Sparse unbiased approximation of the clique: sample endpoint pairs with
-            // probability proportional to their weights and spread the clique's total
-            // weight uniformly over the accepted samples.
-            let total_w: f64 = neighbors.iter().map(|nb| nb.weight).sum();
-            let sum_sq: f64 = neighbors.iter().map(|nb| nb.weight * nb.weight).sum();
-            let clique_weight = (total_w * total_w - sum_sq) / (2.0 * dv);
-            if clique_weight <= 0.0 {
-                continue;
-            }
-            let samples = ((deg as f64) * (deg as f64).log2().max(1.0) * 2.0).ceil() as usize;
-            // Cumulative distribution over neighbors, proportional to weight.
-            let mut cumulative = Vec::with_capacity(deg);
-            let mut acc = 0.0;
-            for nb in neighbors {
-                acc += nb.weight;
-                cumulative.push(acc);
-            }
-            let draw = |rng: &mut ChaCha8Rng| -> usize {
-                let x = rng.gen_range(0.0..acc);
-                cumulative.partition_point(|&c| c < x).min(deg - 1)
-            };
-            let mut accepted = Vec::with_capacity(samples);
-            for _ in 0..samples {
-                let i = draw(&mut rng);
-                let j = draw(&mut rng);
-                if i != j && neighbors[i].node != neighbors[j].node {
-                    accepted.push((neighbors[i].node, neighbors[j].node));
-                }
-            }
-            if accepted.is_empty() {
-                continue;
-            }
-            let w_each = clique_weight / accepted.len() as f64;
-            for (a, b) in accepted {
-                let _ = builder.add(a, b, w_each);
-            }
-        }
-    }
-    let two_hop = builder.build();
+    let span = sgs_obs::span!("chain.level", level = level_idx + 1, m_in = level.m());
+    let two_hop = {
+        let _two_hop = sgs_obs::span!("chain.two_hop");
+        two_hop_graph(level, config, level_idx)
+    };
+    let two_hop_m = two_hop.m();
 
     // Exact diagonal excess of M̃: excess_u = D_u − Σ_v a_uv (Σ_w a_vw) / D_v.
-    let a_row_sums = level.graph.weighted_degrees();
-    let ratio: Vec<f64> = a_row_sums
+    let ratio: Vec<f64> = level
+        .degrees()
         .iter()
         .zip(&level.diagonal)
         .map(|(s, d)| if *d > 0.0 { s / d } else { 0.0 })
         .collect();
-    let a_ratio = level.adjacency_apply(&ratio);
+    let mut a_ratio = vec![0.0; level.n()];
+    level.adjacency_apply_in(&ratio, &mut a_ratio);
     let excess: Vec<f64> = level
         .diagonal
         .iter()
@@ -514,7 +461,7 @@ fn build_next_level(
 
     // Sparsify the two-hop graph when it exceeds the target size (the Section 4 step:
     // "bring the graph back to its original size" using Theorem 5).
-    let graph = if two_hop.m() > target_edges {
+    let graph = if two_hop_m > target_edges {
         let cfg = SparsifyConfig::new(config.level_epsilon, config.rho)
             .with_bundle_sizing(config.bundle_sizing)
             .with_seed(config.seed.wrapping_add(0xF00D + level_idx as u64));
@@ -522,8 +469,208 @@ fn build_next_level(
     } else {
         two_hop
     };
+    let next = ChainLevel::new(&graph, excess);
+    span.end_with(&[
+        ("two_hop_m", FieldValue::from(two_hop_m)),
+        ("m_out", FieldValue::from(next.m())),
+    ]);
+    next
+}
 
-    ChainLevel::new(graph, excess)
+/// Random 32-bit words a sampled clique consumes per sample: two endpoint draws,
+/// each a `gen_range` over `f64`, which reads one `next_u64`.
+const WORDS_PER_SAMPLE: u64 = 4;
+
+/// A two-hop pair waiting for the builder: endpoints and weight.
+type Pair = (u32, u32, f64);
+
+/// Pending pairs per pool thread in one generation window (~1 MiB of pairs).
+const WINDOW_PAIRS_PER_THREAD: usize = (1 << 20) / std::mem::size_of::<Pair>();
+
+/// Generation blocks per pool thread in one window, for load balance.
+const BLOCKS_PER_THREAD: usize = 4;
+
+/// What one vertex's clique contributes to the two-hop graph.
+#[derive(Debug, Clone, Copy)]
+enum Clique {
+    /// Fewer than two neighbours, or no weight to spread.
+    Empty,
+    /// Every pair of neighbours, exactly.
+    Exact,
+    /// `samples` weighted draws of endpoint pairs, sharing `weight` uniformly.
+    Sampled { samples: usize, weight: f64 },
+}
+
+impl Clique {
+    fn plan(level: &ChainLevel, v: usize, config: &ChainConfig) -> Clique {
+        let weights = level.row(v).1;
+        let deg = weights.len();
+        if deg < 2 {
+            return Clique::Empty;
+        }
+        if deg <= config.clique_sample_threshold {
+            return Clique::Exact;
+        }
+        let dv = level.diagonal[v];
+        let total_w: f64 = weights.iter().sum();
+        let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
+        let weight = (total_w * total_w - sum_sq) / (2.0 * dv);
+        if weight <= 0.0 {
+            return Clique::Empty;
+        }
+        let samples = ((deg as f64) * (deg as f64).log2().max(1.0) * 2.0).ceil() as usize;
+        Clique::Sampled { samples, weight }
+    }
+
+    /// Upper bound on the pairs the clique of a degree-`deg` vertex emits.
+    fn max_pairs(self, deg: usize) -> usize {
+        match self {
+            Clique::Empty => 0,
+            Clique::Exact => deg * (deg - 1) / 2,
+            Clique::Sampled { samples, .. } => samples,
+        }
+    }
+
+    /// Words of the level's random stream the clique consumes.
+    fn words(self) -> u64 {
+        match self {
+            Clique::Sampled { samples, .. } => WORDS_PER_SAMPLE * samples as u64,
+            _ => 0,
+        }
+    }
+}
+
+/// The two-hop graph of `M̃ = D − A D⁻¹ A`: every pair of neighbours of `v` becomes
+/// an edge of weight `a_uv a_vw / d_v`. Cliques above the degree threshold are
+/// replaced by a sparse unbiased sample: endpoint pairs drawn with probability
+/// proportional to their weights, the clique's total weight spread uniformly over
+/// the accepted draws.
+///
+/// Vertex blocks are generated in parallel and give exactly the graph of one
+/// sequential pass over the vertices with one ChaCha8 stream. Every sampled clique
+/// consumes a known number of words of that stream, so a prefix sum gives the word
+/// each vertex starts at, and a block seeks there
+/// ([`ChaCha8Rng::set_word_pos`]): its draws are the sequential pass's draws. Blocks
+/// then enter the builder in vertex order, so every pair's weights are summed in
+/// the sequential order. Windows of at most ~1 MiB of pending pairs per thread
+/// bound the memory the blocks hold.
+fn two_hop_graph(level: &ChainLevel, config: &ChainConfig, level_idx: usize) -> Graph {
+    let n = level.n();
+    let plans: Vec<Clique> = (0..n)
+        .into_par_iter()
+        .map(|v| Clique::plan(level, v, config))
+        .collect();
+    let mut first_word = Vec::with_capacity(n);
+    let mut word = 0u64;
+    for plan in &plans {
+        first_word.push(word);
+        word += plan.words();
+    }
+    let max_pairs = |v: usize| plans[v].max_pairs(level.row(v).0.len());
+    let rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(level_idx as u64 * 0xC11A));
+    let threads = rayon::current_num_threads();
+    let window = WINDOW_PAIRS_PER_THREAD * threads;
+
+    let mut builder = GraphBuilder::new(n);
+    let mut start = 0;
+    while start < n {
+        // Grow the window to the pair budget (always at least one vertex), then cut
+        // it into blocks of about equal pair bounds.
+        let mut end = start;
+        let mut pending = 0;
+        while end < n && (end == start || pending + max_pairs(end) <= window) {
+            pending += max_pairs(end);
+            end += 1;
+        }
+        let target = pending.div_ceil(BLOCKS_PER_THREAD * threads).max(1);
+        let mut blocks = Vec::new();
+        let (mut block_start, mut block_pairs) = (start, 0);
+        for v in start..end {
+            block_pairs += max_pairs(v);
+            if block_pairs >= target || v + 1 == end {
+                blocks.push(block_start..v + 1);
+                block_start = v + 1;
+                block_pairs = 0;
+            }
+        }
+        let generated: Vec<Vec<Pair>> = blocks
+            .into_par_iter()
+            .map(|block| {
+                let mut rng = rng.clone();
+                rng.set_word_pos(first_word[block.start] as u128);
+                let bound = block.clone().map(max_pairs).sum();
+                two_hop_block(level, &plans, block, &mut rng, bound)
+            })
+            .collect();
+        for (a, b, w) in generated.into_iter().flatten() {
+            let _ = builder.add(a as usize, b as usize, w);
+        }
+        start = end;
+    }
+    builder.build()
+}
+
+/// The two-hop pairs of the vertices in `block`, in the sequential pass's order,
+/// drawing from `rng` positioned at the block's first word.
+fn two_hop_block(
+    level: &ChainLevel,
+    plans: &[Clique],
+    block: Range<usize>,
+    rng: &mut ChaCha8Rng,
+    bound: usize,
+) -> Vec<Pair> {
+    let mut out = Vec::with_capacity(bound);
+    let mut cumulative = Vec::new();
+    for v in block {
+        let (nbrs, weights) = level.row(v);
+        let deg = nbrs.len();
+        match plans[v] {
+            Clique::Empty => {}
+            Clique::Exact => {
+                let dv = level.diagonal[v];
+                for i in 0..deg {
+                    for j in (i + 1)..deg {
+                        if nbrs[i] == nbrs[j] {
+                            continue;
+                        }
+                        let w = weights[i] * weights[j] / dv;
+                        if w > 0.0 {
+                            out.push((nbrs[i], nbrs[j], w));
+                        }
+                    }
+                }
+            }
+            Clique::Sampled { samples, weight } => {
+                // Cumulative distribution over neighbours, proportional to weight.
+                cumulative.clear();
+                let mut acc = 0.0;
+                for w in weights {
+                    acc += w;
+                    cumulative.push(acc);
+                }
+                let draw = |rng: &mut ChaCha8Rng| -> usize {
+                    let x = rng.gen_range(0.0..acc);
+                    cumulative.partition_point(|&c| c < x).min(deg - 1)
+                };
+                let first = out.len();
+                for _ in 0..samples {
+                    let i = draw(rng);
+                    let j = draw(rng);
+                    if i != j && nbrs[i] != nbrs[j] {
+                        out.push((nbrs[i], nbrs[j], 0.0));
+                    }
+                }
+                let accepted = out.len() - first;
+                if accepted > 0 {
+                    let w_each = weight / accepted as f64;
+                    for pair in &mut out[first..] {
+                        pair.2 = w_each;
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -531,6 +678,145 @@ mod tests {
     use super::*;
     use sgs_graph::generators;
     use sgs_linalg::vector;
+
+    fn on_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+            .install(op)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Random weights and some parallel edges: summation order shows in the bits.
+    fn irregular_graph(n: usize, m: usize, seed: u64) -> Graph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut g = Graph::new(n);
+        while g.m() < m {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                let w = rng.gen_range(0.01..10.0);
+                g.add_edge(u, v, w).unwrap();
+                if g.m() % 7 == 0 {
+                    g.add_edge(v, u, w * 0.5).unwrap();
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn csr_level_gathers_exactly_what_the_edge_order_scatter_sums() {
+        let g = irregular_graph(400, 20_000, 17);
+        let level = ChainLevel::new(&g, vec![0.5; 400]);
+        assert_eq!((level.n(), level.m()), (400, g.m()));
+        let adj = g.adjacency();
+        for u in 0..g.n() {
+            let (nbrs, weights) = level.row(u);
+            let want: Vec<(u32, u64)> = adj
+                .neighbors(u)
+                .iter()
+                .map(|nb| (nb.node as u32, nb.weight.to_bits()))
+                .collect();
+            let got: Vec<(u32, u64)> = nbrs
+                .iter()
+                .zip(weights)
+                .map(|(&v, w)| (v, w.to_bits()))
+                .collect();
+            assert_eq!(got, want, "row {u}");
+        }
+        assert_eq!(bits(&level.degrees()), bits(&g.weighted_degrees()));
+        let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut scatter = vec![0.0; 400];
+        for e in g.edges() {
+            scatter[e.u] += e.w * x[e.v];
+            scatter[e.v] += e.w * x[e.u];
+        }
+        for threads in [1, 3] {
+            let mut y = vec![f64::NAN; 400];
+            on_pool(threads, || level.adjacency_apply_in(&x, &mut y));
+            assert_eq!(bits(&y), bits(&scatter), "width {threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_two_hop_reproduces_the_sequential_pass() {
+        // The sequential pass the block-parallel generator must reproduce: one
+        // stream, vertices in order, pairs added straight into the builder.
+        fn sequential(level: &ChainLevel, config: &ChainConfig, level_idx: usize) -> Graph {
+            let mut rng =
+                ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(level_idx as u64 * 0xC11A));
+            let mut builder = GraphBuilder::new(level.n());
+            for v in 0..level.n() {
+                let (nbrs, weights) = level.row(v);
+                let deg = nbrs.len();
+                if deg < 2 {
+                    continue;
+                }
+                let dv = level.diagonal[v];
+                if deg <= config.clique_sample_threshold {
+                    for i in 0..deg {
+                        for j in (i + 1)..deg {
+                            let w = weights[i] * weights[j] / dv;
+                            if nbrs[i] != nbrs[j] && w > 0.0 {
+                                let _ = builder.add(nbrs[i] as usize, nbrs[j] as usize, w);
+                            }
+                        }
+                    }
+                    continue;
+                }
+                let total: f64 = weights.iter().sum();
+                let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
+                let clique_weight = (total * total - sum_sq) / (2.0 * dv);
+                if clique_weight <= 0.0 {
+                    continue;
+                }
+                let samples = ((deg as f64) * (deg as f64).log2().max(1.0) * 2.0).ceil() as usize;
+                let mut cumulative = Vec::new();
+                let mut acc = 0.0;
+                for w in weights {
+                    acc += w;
+                    cumulative.push(acc);
+                }
+                let mut draw = || {
+                    let x = rng.gen_range(0.0..acc);
+                    cumulative.partition_point(|&c| c < x).min(deg - 1)
+                };
+                let mut accepted = Vec::new();
+                for _ in 0..samples {
+                    let (i, j) = (draw(), draw());
+                    if i != j && nbrs[i] != nbrs[j] {
+                        accepted.push((nbrs[i] as usize, nbrs[j] as usize));
+                    }
+                }
+                for &(a, b) in &accepted {
+                    let _ = builder.add(a, b, clique_weight / accepted.len() as f64);
+                }
+            }
+            builder.build()
+        }
+
+        // Mixed degrees around a low threshold: exact and sampled cliques interleave,
+        // so block seeks land between sampled vertices.
+        let g = irregular_graph(300, 2_500, 29);
+        let level = ChainLevel::new(&g, vec![0.25; 300]);
+        let config = ChainConfig {
+            clique_sample_threshold: 12,
+            ..ChainConfig::default()
+        };
+        let want = sequential(&level, &config, 3);
+        assert!(want.m() > 0);
+        for threads in [1, 2, 4] {
+            let got = on_pool(threads, || two_hop_graph(&level, &config, 3));
+            assert_eq!(got.m(), want.m(), "width {threads}");
+            for (a, b) in got.edges().iter().zip(want.edges()) {
+                assert_eq!((a.u, a.v, a.w.to_bits()), (b.u, b.v, b.w.to_bits()));
+            }
+        }
+    }
 
     #[test]
     fn chain_has_bounded_depth_and_size() {
@@ -595,17 +881,19 @@ mod tests {
     #[test]
     fn jacobi_base_case_is_linear() {
         let g = generators::path(30, 1.0);
-        let mut excess = vec![0.0; 30];
-        for e in excess.iter_mut() {
-            *e = 3.0; // strongly dominant
-        }
-        let level = ChainLevel::new(g, excess);
+        let excess = vec![3.0; 30]; // strongly dominant
+        let level = ChainLevel::new(&g, excess);
+        let sweeps = |b: &[f64]| {
+            let (mut x, mut ax) = (vec![0.0; 30], vec![0.0; 30]);
+            jacobi_sweeps(&level, b, 8, &mut x, &mut ax);
+            x
+        };
         let b1: Vec<f64> = (0..30).map(|i| (i as f64).sin()).collect();
         let b2: Vec<f64> = (0..30).map(|i| (i as f64 * 0.3).cos()).collect();
-        let x1 = jacobi_sweeps(&level, &b1, 8);
-        let x2 = jacobi_sweeps(&level, &b2, 8);
+        let x1 = sweeps(&b1);
+        let x2 = sweeps(&b2);
         let combined: Vec<f64> = b1.iter().zip(&b2).map(|(a, b)| 2.0 * a - 0.5 * b).collect();
-        let x_combined = jacobi_sweeps(&level, &combined, 8);
+        let x_combined = sweeps(&combined);
         for i in 0..30 {
             let lin = 2.0 * x1[i] - 0.5 * x2[i];
             assert!(
@@ -617,9 +905,9 @@ mod tests {
 
     #[test]
     fn apply_inverse_in_is_bitwise_equal_to_apply_inverse() {
-        // The `_in` path is the one the PCG loop uses; it must perform the exact same
-        // floating-point operations as the allocating reference, so iterates (and
-        // therefore every golden solve fixture) are unchanged to the last bit.
+        // The `_in` path is the one the PCG loop uses, with one scratch reused across
+        // right-hand sides; the allocating wrapper and the preconditioner views must
+        // give the same bits, at every pool width.
         let g = generators::erdos_renyi(180, 0.12, 1.0, 21);
         let system = GroundedLaplacian::from_graph(g);
         let chain = Chain::build(&system, &ChainConfig::default());
@@ -632,21 +920,23 @@ mod tests {
             let reference = chain.apply_inverse(&b);
             // Scratch is deliberately reused across right-hand sides.
             chain.apply_inverse_in(&b, &mut out, &mut scratch);
-            for (i, (a, c)) in reference.iter().zip(&out).enumerate() {
-                assert_eq!(a.to_bits(), c.to_bits(), "component {i} diverged");
+            assert_eq!(bits(&reference), bits(&out), "right-hand side {seed}");
+            for threads in [2, 4] {
+                let wide = on_pool(threads, || chain.apply_inverse(&b));
+                assert_eq!(bits(&reference), bits(&wide), "width {threads}");
             }
         }
-        // The mutex-guarded preconditioner view is the same computation.
+        // The mutex-guarded preconditioner view and the chain itself are the same
+        // computation.
         use sgs_linalg::cg::Preconditioner as _;
         let pre = chain.preconditioner();
         let b = vector::random_unit_orthogonal(n, 9);
         let reference = chain.apply_inverse(&b);
         let mut z = vec![0.0; n];
         pre.apply(&b, &mut z);
-        assert_eq!(
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            z.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&reference), bits(&z));
+        chain.apply(&b, &mut z);
+        assert_eq!(bits(&reference), bits(&z));
     }
 
     #[test]
@@ -690,9 +980,9 @@ mod tests {
         let chain = Chain::build(&system, &ChainConfig::default());
         for (i, level) in chain.levels().iter().enumerate().skip(1) {
             assert!(
-                level.graph.m() <= 3 * m_in,
+                level.m() <= 3 * m_in,
                 "level {i} blew up: {} edges vs input {m_in}",
-                level.graph.m()
+                level.m()
             );
         }
     }

@@ -184,7 +184,7 @@ impl SddSolver {
                 let per_level_work: Vec<u64> = chain
                     .levels()
                     .iter()
-                    .map(|l| l.graph.m() as u64 * applies)
+                    .map(|l| l.m() as u64 * applies)
                     .collect();
                 (
                     outcome,

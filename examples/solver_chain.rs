@@ -19,14 +19,14 @@ fn main() {
     let chain = solver.chain().expect("chain built");
     println!("{:>6} {:>10} {:>14}", "level", "edges", "min excess/deg");
     for (i, level) in chain.levels().iter().enumerate() {
-        let deg = level.graph.weighted_degrees();
+        let deg = level.degrees();
         let dominance = deg
             .iter()
             .zip(&level.excess)
             .filter(|(d, _)| **d > 0.0)
             .map(|(d, e)| e / d)
             .fold(f64::INFINITY, f64::min);
-        println!("{:>6} {:>10} {:>14.3}", i, level.graph.m(), dominance);
+        println!("{:>6} {:>10} {:>14.3}", i, level.m(), dominance);
     }
     println!(
         "total chain size: {} edges across {} levels",

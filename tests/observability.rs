@@ -197,6 +197,48 @@ fn solver_emits_scoped_pcg_trajectory() {
 }
 
 #[test]
+fn chain_level_spans_carry_sizes_and_nest_the_two_hop_build() {
+    let _guard = lock();
+    let g = generators::erdos_renyi(200, 0.15, 1.0, 7);
+    let u64_field = |e: &obs::Event, key: &str| match e.fields.iter().find(|(k, _)| *k == key) {
+        Some((_, obs::FieldValue::U64(x))) => *x as usize,
+        other => panic!("{} lacks a u64 {key}: {other:?}", e.name),
+    };
+    for threads in [1, 4] {
+        let (solver, events) = on_pool(threads, || {
+            record(|| SddSolver::for_laplacian(g.clone(), SolverConfig::default()))
+        });
+        let levels = solver.chain().expect("chain").levels();
+        assert!(levels.len() >= 2, "want a recursive chain");
+        let chain_events: Vec<&obs::Event> = events
+            .iter()
+            .filter(|e| e.name == "chain.level" || e.name == "chain.two_hop")
+            .collect();
+        // One level span per built level, each wrapping exactly one two-hop span,
+        // all on the calling thread.
+        assert_eq!(chain_events.len(), 4 * (levels.len() - 1));
+        assert!(chain_events.iter().all(|e| e.tid == chain_events[0].tid));
+        for (i, quad) in chain_events.chunks(4).enumerate() {
+            let shape: Vec<(&str, EventKind)> = quad.iter().map(|e| (e.name, e.kind)).collect();
+            assert_eq!(
+                shape,
+                [
+                    ("chain.level", EventKind::SpanBegin),
+                    ("chain.two_hop", EventKind::SpanBegin),
+                    ("chain.two_hop", EventKind::SpanEnd),
+                    ("chain.level", EventKind::SpanEnd),
+                ]
+            );
+            let (begin, end) = (quad[0], quad[3]);
+            assert_eq!(u64_field(begin, "level"), i + 1);
+            assert_eq!(u64_field(begin, "m_in"), levels[i].m());
+            assert_eq!(u64_field(end, "m_out"), levels[i + 1].m());
+            assert!(u64_field(end, "two_hop_m") >= u64_field(end, "m_out"));
+        }
+    }
+}
+
+#[test]
 fn exports_round_trip_through_the_json_parser() {
     let _guard = lock();
     let g = generators::erdos_renyi(200, 0.2, 1.0, 11);
