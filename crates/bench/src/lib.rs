@@ -1,8 +1,7 @@
 //! # sgs-bench
 //!
-//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`) and the
-//! Criterion benches (`benches/bench_*.rs`) that regenerate every experiment listed in
-//! `EXPERIMENTS.md`.
+//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`) that
+//! regenerate the paper's experiments.
 //!
 //! Each experiment binary prints a table whose rows correspond to the series recorded in
 //! `EXPERIMENTS.md`, and optionally dumps the same rows as JSON (pass `--json`), so the

@@ -65,6 +65,17 @@ pub use strategy::{
 };
 pub use verify::{verify_sparsifier, VerificationReport};
 
+/// Runs `op` on a fresh rayon pool of `width` threads; unit tests use it to pin
+/// outputs across pool widths.
+#[cfg(test)]
+pub(crate) fn on_pool<R>(width: usize, op: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .expect("thread pool")
+        .install(op)
+}
+
 /// Commonly used items for downstream crates and examples.
 pub mod prelude {
     pub use crate::baselines::{

@@ -77,7 +77,8 @@ pub struct SampleOutput {
 /// Runs one round of `PARALLELSAMPLE` on `g`.
 ///
 /// `cfg` is the single source of truth for the round: accuracy (`cfg.epsilon`), bundle
-/// sizing, keep probability, sampling strategy, seed and parallelism.
+/// sizing, keep probability, sampling strategy and seed. Threading follows the
+/// enclosing rayon pool.
 /// (`PARALLELSPARSIFY` derives a per-round config with `ε / ⌈log ρ⌉` before calling
 /// this, so no separate `eps` argument exists any more.)
 pub fn parallel_sample(g: &Graph, cfg: &SparsifyConfig) -> SampleOutput {
@@ -107,7 +108,6 @@ pub(crate) fn sample_on_engine(
         spanner: SpannerConfig {
             k: None,
             seed: cfg.seed,
-            parallel: cfg.parallel,
         },
     };
     spanner.reset_from_graph(g);
@@ -132,7 +132,6 @@ pub(crate) fn sample_on_engine(
         t,
         keep_probability: cfg.keep_probability,
         seed: cfg.seed,
-        parallel: cfg.parallel,
     };
     let weighted = cfg.sampling.strategy().keep_probabilities(&ctx, sampling);
     let kept: Vec<Edge> = if weighted {
@@ -150,11 +149,7 @@ pub(crate) fn sample_on_engine(
                 }
             }
         };
-        if cfg.parallel {
-            (0..m).into_par_iter().filter_map(decide).collect()
-        } else {
-            (0..m).filter_map(decide).collect()
-        }
+        (0..m).into_par_iter().filter_map(decide).collect()
     } else {
         let p = cfg.keep_probability;
         let reweight = 1.0 / p;
@@ -168,11 +163,7 @@ pub(crate) fn sample_on_engine(
                 None
             }
         };
-        if cfg.parallel {
-            (0..m).into_par_iter().filter_map(decide).collect()
-        } else {
-            (0..m).filter_map(decide).collect()
-        }
+        (0..m).into_par_iter().filter_map(decide).collect()
     };
 
     // Every bundle edge is kept unconditionally, so the split needs no re-scan.
@@ -332,8 +323,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed_and_independent_of_parallelism() {
         let g = generators::erdos_renyi(250, 0.2, 1.0, 23);
-        let a = parallel_sample(&g, &base_cfg().with_parallel(true));
-        let b = parallel_sample(&g, &base_cfg().with_parallel(false));
+        let a = crate::on_pool(4, || parallel_sample(&g, &base_cfg()));
+        let b = crate::on_pool(1, || parallel_sample(&g, &base_cfg()));
         assert_eq!(a.sparsifier.edges(), b.sparsifier.edges());
         let c = parallel_sample(&g, &base_cfg().with_seed(99));
         assert_ne!(a.sparsifier.edges(), c.sparsifier.edges());
@@ -386,8 +377,8 @@ mod tests {
         use crate::strategy::SamplingPolicy;
         let g = generators::erdos_renyi(150, 0.25, 1.0, 13);
         let cfg = base_cfg().with_sampling(SamplingPolicy::effective_resistance(4, 1e-3));
-        let a = parallel_sample(&g, &cfg.clone().with_parallel(true));
-        let b = parallel_sample(&g, &cfg.clone().with_parallel(false));
+        let a = crate::on_pool(4, || parallel_sample(&g, &cfg));
+        let b = crate::on_pool(1, || parallel_sample(&g, &cfg));
         assert_eq!(a.sparsifier.edges(), b.sparsifier.edges());
         assert!(is_connected(&a.sparsifier));
         // The weighted path must actually diverge from the uniform coin.

@@ -64,8 +64,6 @@ pub struct StreamConfig {
     /// Base RNG seed; every reduction derives its own seed from (depth, index), so
     /// results depend only on the edge stream and this value.
     pub seed: u64,
-    /// Run the per-reduction sparsification under rayon.
-    pub parallel: bool,
     /// Early-stop threshold forwarded to every reduction (`PARALLELSPARSIFY` leaves
     /// graphs with at most this many times `n log₂ n` edges untouched).
     pub stop_below_nlogn_factor: f64,
@@ -197,7 +195,6 @@ impl StreamConfig {
             bundle_sizing: BundleSizing::Scaled(0.5),
             keep_probability: 0.25,
             seed: 0xC0FFEE,
-            parallel: true,
             stop_below_nlogn_factor: 0.5,
             leaf_sampling: SamplingPolicy::uniform(),
             interior_sampling: SamplingPolicy::uniform(),
@@ -243,12 +240,6 @@ impl StreamConfig {
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables rayon parallelism inside reductions.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -345,7 +336,6 @@ impl StreamConfig {
         let mut cfg = SparsifyConfig::new(self.level_epsilon(j).min(1.0), self.rho)
             .with_bundle_sizing(self.bundle_sizing)
             .with_keep_probability(self.keep_probability)
-            .with_parallel(self.parallel)
             .with_sampling(sampling)
             .with_seed(splitmix64(
                 splitmix64(self.seed ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ index,

@@ -208,15 +208,21 @@ fn print_current_fixtures() {
 
 #[test]
 fn spanner_matches_pre_rewrite_fixtures_default_k() {
+    let pools = [1, 4].map(|width| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("thread pool");
+        (width, pool)
+    });
     for &(name, seed, len, hash, rounds, work) in GOLDEN_DEFAULT_K {
         let g = graph(name);
-        for parallel in [true, false] {
-            let cfg = SpannerConfig::with_seed(seed).with_parallel(parallel);
-            let r = baswana_sen_spanner(&g, &cfg);
+        for (width, pool) in &pools {
+            let r = pool.install(|| baswana_sen_spanner(&g, &SpannerConfig::with_seed(seed)));
             assert_eq!(
                 (r.edge_ids.len(), fnv1a(&r.edge_ids), r.rounds, r.work),
                 (len, hash, rounds, work),
-                "{name} seed={seed} parallel={parallel}"
+                "{name} seed={seed} width={width}"
             );
         }
     }

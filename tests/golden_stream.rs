@@ -106,18 +106,24 @@ fn stream_fixtures_match_for_one_and_many_batches() {
 
 #[test]
 fn stream_fixtures_are_parallelism_mode_independent() {
-    // `parallel: false` must reproduce the same streams (the rayon shim is
-    // thread-count deterministic, and the sequential path shares the seeding).
+    // A width-1 pool must reproduce the same streams: no engine output depends on the
+    // pool width.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
     for &(name, seed, m_out, fp, ..) in &GOLDEN_STREAM[..5] {
         let g = graph(name);
-        let mut s = StreamSparsifier::new(g.n(), config(&g, seed).with_parallel(false));
-        s.ingest_batch(g.edges()).unwrap();
-        let out = s.finish();
-        assert_eq!(out.sparsifier.m(), m_out, "{name}/seed {seed} sequential");
+        let out = pool.install(|| {
+            let mut s = StreamSparsifier::new(g.n(), config(&g, seed));
+            s.ingest_batch(g.edges()).unwrap();
+            s.finish()
+        });
+        assert_eq!(out.sparsifier.m(), m_out, "{name}/seed {seed} width 1");
         assert_eq!(
             fingerprint(&out.sparsifier),
             fp,
-            "{name}/seed {seed} sequential"
+            "{name}/seed {seed} width 1"
         );
     }
 }
